@@ -32,24 +32,11 @@ type Params struct {
 	HWSafe bool
 	// Mem allows shared-memory statements.
 	Mem bool
-	// Branchy rerolls about half the would-be assignments into control
-	// flow (branches, loops, emits), raising CTI density. The synthesized
-	// SPARC image then branches into the middle of other blocks'
-	// straight-line runs and chains CTIs with short blocks between them —
-	// the compiled ISS tier's overlapping-suffix-block and unfusable-tail
-	// edge cases. Off, generation is byte-identical to earlier corpora.
-	Branchy bool
 }
 
 // DefaultParams is a medium-size machine.
 func DefaultParams() Params {
 	return Params{Vars: 4, Stmts: 5, Depth: 3, HWSafe: true, Mem: true}
-}
-
-// BranchyParams is a control-flow-dense machine: more statements and the
-// Branchy reroll, for corpora that stress compiled-block boundaries.
-func BranchyParams() Params {
-	return Params{Vars: 4, Stmts: 8, Depth: 3, HWSafe: true, Mem: true, Branchy: true}
 }
 
 type gen struct {
@@ -98,9 +85,6 @@ func (g *gen) stmt(loopDepth int) cfsm.Stmt {
 		max = 8
 	}
 	k := g.rng.Intn(max)
-	if g.p.Branchy && k < 4 && g.rng.Intn(2) == 0 {
-		k = 4 + g.rng.Intn(4) // reroll into branch/loop/emit territory
-	}
 	switch {
 	case k < 4: // assignment, the common case
 		return cfsm.Set(g.rng.Intn(g.nv), g.expr(g.p.Depth))

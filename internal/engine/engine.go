@@ -46,11 +46,6 @@ type Options struct {
 	// index, wall time and error.
 	OnPoint func(PointMetrics)
 
-	// Backend names the estimator backend RunReports/RunOutcomes dispatch
-	// to. Empty means the default "interpreted" backend; unknown names fail
-	// with ErrUnknownBackend. The generic Run ignores it.
-	Backend string
-
 	// Artifacts, if set, are compile-once synthesis products every point
 	// rebinds instead of recompiling (the warm-session path). They must
 	// have been built from the same system with the same HWWidth as the
@@ -58,10 +53,10 @@ type Options struct {
 	Artifacts *core.Artifacts
 
 	// OnRun, if set, receives each point's completed co-simulation (after
-	// a successful run, before the point is reported done). Backends may
-	// invoke it concurrently from worker goroutines; the callback
-	// synchronizes itself. Sessions use it to retain the last run for
-	// cache-report inspection.
+	// a successful run, before the point is reported done). It is invoked
+	// concurrently from worker goroutines; the callback synchronizes
+	// itself. Sessions use it to retain the last run for cache-report
+	// inspection.
 	OnRun func(i int, cs *core.CoSim)
 }
 
@@ -180,25 +175,21 @@ dispatch:
 }
 
 // RunReports is Run specialized to co-estimations: build(i) describes point
-// i, the selected backend (Options.Backend) constructs and runs it, and the
-// full per-point estimator metrics (ISS instructions, gate evaluations,
-// energy-cache hits, bus-trace compaction ratio) flow into the OnPoint
-// hook. A point failure cancels the remaining points and the lowest-index
-// error is returned, wrapped as "point %d: ...", with the completed points.
+// i, one full co-simulation runs it, and the full per-point estimator
+// metrics (ISS instructions, gate evaluations, energy-cache hits, bus-trace
+// compaction ratio) flow into the OnPoint hook. A point failure cancels the
+// remaining points and the lowest-index error is returned, wrapped as
+// "point %d: ...", with the completed points.
 //
 // build(i) must return a fresh System on every call — simulations mutate the
 // CFSM network state, so points cannot share one System value. The returned
 // Config is cloned by the engine before use (see core.Config.Clone), so
 // builds may derive all points from one shared base Config.
 func RunReports(ctx context.Context, n int, opts Options, build BuildFunc) ([]Result[*core.Report], error) {
-	be, err := LookupBackend(opts.Backend)
-	if err != nil {
-		return nil, err
-	}
 	if n <= 0 {
 		return nil, ctx.Err()
 	}
-	outs, err := be.Run(ctx, n, opts, true, build)
+	outs, err := runPoints(ctx, n, opts, true, build)
 	results := make([]Result[*core.Report], 0, len(outs))
 	for _, o := range outs {
 		if o.Err == nil && o.Report != nil {

@@ -63,9 +63,9 @@ func (m PointMetrics) String() string {
 		m.ISSInsts, m.GateEvals, ecache, m.CompactionRatio)
 }
 
-// Fill copies the estimator counters out of a finished report. Backends
-// use it to populate the OnPoint record.
-func (m *PointMetrics) Fill(rep *core.Report) {
+// fill copies the estimator counters out of a finished report to populate
+// the OnPoint record.
+func (m *PointMetrics) fill(rep *core.Report) {
 	m.ISSInsts = rep.ISSInsts
 	m.GateEvals = rep.GateExecs
 	m.ECacheLookups = rep.SWECache.Lookups + rep.HWECache.Lookups

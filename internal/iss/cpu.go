@@ -101,11 +101,6 @@ type CPU struct {
 	pendingLoad sparc.Reg // G0 = none
 
 	instCount [sparc.NumOpcodes]uint64
-
-	// blocks, when attached, switches execution to the threaded-code tier;
-	// cx is its run state (see compile.go).
-	blocks *BlockCache
-	cx     cexec
 }
 
 // New returns a CPU with the given models and memory, reset and ready.
@@ -139,18 +134,6 @@ func (c *CPU) LoadProgram(p *sparc.Program) {
 	c.prog = p
 	c.progBase = p.Base
 	c.dec = predecode(p, c.Timing)
-	c.blocks = nil // any attached block cache is stale for the new program
-}
-
-// run dispatches to the threaded-code tier when a block cache is attached
-// and nothing needs per-fetch observation; otherwise it interprets. Both
-// tiers are bit-identical (including the energy accumulation order) — only
-// throughput differs.
-func (c *CPU) run(limit uint64) (uint64, error) {
-	if c.blocks != nil && c.FetchHook == nil {
-		return c.runCompiled(limit)
-	}
-	return c.runInterp(limit)
 }
 
 // Stats returns the cumulative statistics since construction.

@@ -66,9 +66,6 @@ type Drift struct {
 
 func (d Drift) String() string {
 	where := fmt.Sprintf("%s/%s", d.Key.Experiment, d.Key.Variant)
-	if d.Key.Backend != "" {
-		where += "/" + d.Key.Backend
-	}
 	if d.Key.DMA >= 0 {
 		where += fmt.Sprintf("/dma=%d", d.Key.DMA)
 	}

@@ -8,10 +8,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	// The tiny test grid names the non-default backends.
-	_ "repro/internal/compiled"
-	_ "repro/internal/packed64"
 )
 
 // tinySpec is a fast everything-kind grid for runner tests.
@@ -24,7 +20,6 @@ func tinySpec() *Spec {
 		DMASizes: []int{4, 8},
 		Experiments: []Experiment{
 			{ID: "t1", Kind: KindTable1},
-			{ID: "bk", Kind: KindBackends, Backends: []string{"interpreted", "packed64"}},
 			{ID: "sv", Kind: KindServing},
 			{ID: "wf", Kind: KindWaveform},
 		},
@@ -44,8 +39,7 @@ func TestSpecValidate(t *testing.T) {
 		func(s *Spec) { s.Experiments[0].ID = "" },
 		func(s *Spec) { s.Experiments[1].ID = s.Experiments[0].ID },
 		func(s *Spec) { s.Experiments[0].Kind = "table9" },
-		func(s *Spec) { s.Experiments[3].Backends = []string{"interpreted"} }, // backends kind needs >= 2
-		func(s *Spec) { s.Experiments[0].System = "prodcons" },                // table kinds are tcpip-only
+		func(s *Spec) { s.Experiments[0].System = "prodcons" }, // table kinds are tcpip-only
 		func(s *Spec) { s.Experiments[0].System = "nosuch" },
 		func(s *Spec) { s.Experiments[0].DMASizes = []int{0} },
 	}
@@ -71,7 +65,7 @@ func TestLoadSpecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Name != "lajolo-rdl00" || len(s.Experiments) != 6 {
+	if s.Name != "lajolo-rdl00" || len(s.Experiments) != 5 {
 		t.Fatalf("round-tripped spec = %+v", s)
 	}
 	if _, err := LoadSpec(filepath.Join(t.TempDir(), "absent.json")); err == nil {
@@ -89,7 +83,7 @@ func TestResultsCSVRoundTrip(t *testing.T) {
 			BudgetBoundJ: 1e-10, BudgetCI95J: 1.6e-11, BudgetUncal: true,
 			AttribTotalJ: 1.25e-5, PeakW: 0.29, PeakAtNS: 10000,
 		},
-		{RunID: "r1", Experiment: "bk", Kind: KindBackends, Backend: "packed64", Variant: "sweep", DMA: -1},
+		{RunID: "r1", Experiment: "sv", Kind: KindServing, System: "prodcons", Variant: servCold, DMA: -1},
 	}
 	var sb strings.Builder
 	if err := WriteResults(&sb, rows); err != nil {
@@ -109,6 +103,33 @@ func TestResultsCSVRoundTrip(t *testing.T) {
 	}
 	if _, err := ReadResults(strings.NewReader("")); err == nil {
 		t.Fatal("empty results parsed")
+	}
+}
+
+// TestReadResultsIgnoresBackendColumn: results.csv files from builds that
+// had several estimator backends carry a backend column; they still load,
+// and the column is ignored.
+func TestReadResultsIgnoresBackendColumn(t *testing.T) {
+	const old = "run_id,experiment,kind,system,backend,variant,dma,packets,repeat,seed,energy_j,iss_calls\n" +
+		"r0,t1,table1,tcpip,,base,8,4,0,1,1.25e-05,20\n" +
+		"r0,bk,backends,tcpip,packed64,sweep,-1,4,0,1,3e-05,60\n"
+	got, err := ReadResults(strings.NewReader(old))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Row{
+		{RunID: "r0", Experiment: "t1", Kind: KindTable1, System: "tcpip", Variant: "base",
+			DMA: 8, Packets: 4, Seed: 1, EnergyJ: 1.25e-5, ISSCalls: 20},
+		{RunID: "r0", Experiment: "bk", Kind: "backends", System: "tcpip", Variant: "sweep",
+			DMA: -1, Packets: 4, Seed: 1, EnergyJ: 3e-5, ISSCalls: 60},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("got %d rows, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("row %d:\n got %+v\nwant %+v", i, got[i], want[i])
+		}
 	}
 }
 
@@ -207,7 +228,7 @@ func TestRunnerEndToEnd(t *testing.T) {
 	}
 	for _, f := range []string{
 		"manifest.json", "results.csv",
-		"logs/t1.log", "logs/bk.log", "logs/sv.log", "logs/wf.log",
+		"logs/t1.log", "logs/sv.log", "logs/wf.log",
 		"analysis/summary_grouped.csv", "analysis/tables.md", "analysis/waveform-wf.csv",
 	} {
 		if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
@@ -219,9 +240,9 @@ func TestRunnerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 2 dma x 2 repeats x 2 variants + 2 backends x 2 repeats +
-	// 4 serving variants x 2 + 2 waveform repeats.
-	if want := 8 + 4 + 8 + 2; len(rows) != want {
+	// 2 dma x 2 repeats x 2 variants + 4 serving variants x 2 +
+	// 2 waveform repeats.
+	if want := 8 + 8 + 2; len(rows) != want {
 		t.Fatalf("got %d rows, want %d", len(rows), want)
 	}
 	for _, row := range rows {
@@ -253,7 +274,7 @@ func TestRunnerEndToEnd(t *testing.T) {
 	for _, p := range man.Phases {
 		phases[p.Name] = true
 	}
-	for _, want := range []string{"t1", "bk", "sv", "wf", "analyze"} {
+	for _, want := range []string{"t1", "sv", "wf", "analyze"} {
 		if !phases[want] {
 			t.Errorf("manifest missing phase %s (got %v)", want, man.Phases)
 		}
@@ -264,7 +285,7 @@ func TestRunnerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"Table 1", "Backend speedup", "Serving warmth", "Peak power", "run t0"} {
+	for _, want := range []string{"Table 1", "Serving warmth", "Peak power", "run t0"} {
 		if !strings.Contains(string(tb), want) {
 			t.Errorf("tables.md missing %q", want)
 		}

@@ -13,6 +13,7 @@ import (
 	"repro/internal/serve"
 	"repro/internal/telemetry"
 	"repro/pkg/coest"
+	"repro/pkg/coest/coestapi"
 )
 
 func startServer(t *testing.T, cfg serve.Config) (*serve.Server, *httptest.Server) {
@@ -359,44 +360,49 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
-// TestBackendSelection: requests pick an estimator backend by name — unknown
-// names fail fast with 400, the resolved backend is echoed, and compiled and
-// packed64 results are bit-identical to the default interpreted ones.
-func TestBackendSelection(t *testing.T) {
+// TestLegacyBackendNames: the wire v1 backend field still accepts the
+// estimator backend names earlier builds offered. "compiled" and "packed64"
+// return 200 with energies and ISS counters bit-identical to an unnamed
+// request and report "interpreted"; any other name is rejected with the
+// 400 error envelope.
+func TestLegacyBackendNames(t *testing.T) {
 	_, ts := startServer(t, serve.Config{})
 
-	if code, _, _ := post(t, ts.URL, serve.Request{Backend: "quantum"}); code != http.StatusBadRequest {
+	code, _, body := postRaw(t, ts.URL, "/estimate", serve.Request{Backend: "quantum"})
+	if code != http.StatusBadRequest {
 		t.Fatalf("unknown backend: status %d, want 400", code)
+	}
+	var env coestapi.ErrorResponse
+	if err := json.Unmarshal(body, &env); err != nil || env.Error.Code != coestapi.CodeBadRequest {
+		t.Fatalf("unknown backend: body %s, want code %s", body, coestapi.CodeBadRequest)
 	}
 
 	req := serve.Request{Packets: 2, Points: []serve.PointSpec{{}, {DMASize: 32}}}
 	code, _, ref := post(t, ts.URL, req)
 	if code != http.StatusOK {
-		t.Fatalf("interpreted request: status %d", code)
+		t.Fatalf("unnamed request: status %d", code)
 	}
 	if ref.Backend != "interpreted" {
-		t.Fatalf("default backend echoed as %q, want \"interpreted\"", ref.Backend)
+		t.Fatalf("unnamed request reports backend %q, want \"interpreted\"", ref.Backend)
 	}
 
-	for _, backend := range []string{"compiled", "packed64"} {
-		reqs := telemetry.Default.Counter("serve_backend_"+backend+"_requests_total", "")
-		before := reqs.Value()
+	for _, backend := range []string{"interpreted", "compiled", "packed64"} {
 		req.Backend = backend
 		code, _, got := post(t, ts.URL, req)
 		if code != http.StatusOK {
 			t.Fatalf("%s request: status %d", backend, code)
 		}
-		if got.Backend != backend {
-			t.Fatalf("backend echoed as %q, want %q", got.Backend, backend)
+		if got.Backend != "interpreted" {
+			t.Fatalf("%s request reports backend %q, want \"interpreted\"", backend, got.Backend)
 		}
-		if reqs.Value() != before+1 {
-			t.Fatalf("%s request counter %d, want %d", backend, reqs.Value(), before+1)
+		if len(got.Points) != len(ref.Points) {
+			t.Fatalf("%s request: %d points, want %d", backend, len(got.Points), len(ref.Points))
 		}
 		for i := range ref.Points {
 			r, p := ref.Points[i], got.Points[i]
 			if r.TotalJ != p.TotalJ || r.SWJ != p.SWJ || r.HWJ != p.HWJ ||
-				r.ISSCalls != p.ISSCalls || r.SimulatedNS != p.SimulatedNS {
-				t.Fatalf("point %d differs across backends:\ninterpreted %+v\n%s %+v", i, r, backend, p)
+				r.ISSCalls != p.ISSCalls || r.ISSInsts != p.ISSInsts || r.SimulatedNS != p.SimulatedNS {
+				t.Fatalf("point %d differs:\nunnamed %+v\n%s %+v", i, r, backend, p)
 			}
 		}
 	}

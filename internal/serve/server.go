@@ -10,7 +10,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -80,13 +79,6 @@ func endpointSeconds(name string) *telemetry.Histogram {
 		"request wall time on the "+name+" endpoint", telemetry.ExpBuckets(1e-5, 2, 24))
 }
 
-// backendSeconds is the per-backend sweep-duration histogram, beside the
-// per-backend request counter.
-func backendSeconds(name string) *telemetry.Histogram {
-	return telemetry.Default.Histogram("serve_backend_"+name+"_seconds",
-		"sweep wall time on the "+name+" estimator backend", telemetry.ExpBuckets(1e-4, 2, 22))
-}
-
 // endpointName maps a request path to its metric/identifier name.
 func endpointName(path string) string {
 	switch path {
@@ -109,27 +101,14 @@ func endpointName(path string) string {
 	}
 }
 
-// backendCounter returns the per-backend request counter, e.g.
-// serve_backend_packed64_requests_total. The registry's create-on-first-use
-// lookup makes repeat calls cheap, and the backend set is small and fixed.
-func backendCounter(name string) *telemetry.Counter {
-	return telemetry.Default.Counter("serve_backend_"+name+"_requests_total",
-		"requests executed on the "+name+" estimator backend")
-}
+// estimatorName is what every response reports in its backend field: all
+// points run on the one co-simulation path.
+const estimatorName = "interpreted"
 
-// validBackend reports whether name is "" (the default) or a registered
-// estimator backend.
-func validBackend(name string) bool {
-	if name == "" {
-		return true
-	}
-	for _, b := range coest.Backends() {
-		if b == name {
-			return true
-		}
-	}
-	return false
-}
+// wireBackends are the request backend names wire v1 accepts. Earlier
+// builds had several estimator backends; their names all select the one
+// path now, and any other name is still rejected with 400.
+var wireBackends = map[string]bool{"": true, "interpreted": true, "compiled": true, "packed64": true}
 
 // Config sizes the server. The zero value is usable; every field has a
 // sensible default.
@@ -497,28 +476,17 @@ func (s *Server) estimate(ctx context.Context, req *Request) (*Response, error) 
 	for i, p := range specs {
 		points[i] = pointOptions(p)
 	}
-	batchOpts := []coest.Option{coest.WithWorkers(s.cfg.PointWorkers)}
-	backend := sess.Backend()
-	if req.Backend != "" {
-		// Validated at admission; the option re-validates against the
-		// registry and overrides the session baseline for this batch.
-		batchOpts = append(batchOpts, coest.WithBackend(req.Backend))
-		backend = req.Backend
-	}
-	backendCounter(backend).Inc()
 	sweepStart := time.Now()
-	sweepCtx, wspan := telemetry.StartSpanWith(ctx, "sweep", backend, int64(len(points)))
-	results, err := sess.EstimateBatch(sweepCtx, points, batchOpts...)
+	sweepCtx, wspan := telemetry.StartSpanWith(ctx, "sweep", "", int64(len(points)))
+	results, err := sess.EstimateBatch(sweepCtx, points, coest.WithWorkers(s.cfg.PointWorkers))
 	wspan.End()
-	sweepDur := time.Since(sweepStart).Seconds()
-	hStageSweep.Observe(sweepDur)
-	backendSeconds(backend).Observe(sweepDur)
+	hStageSweep.Observe(time.Since(sweepStart).Seconds())
 	if err != nil {
 		return nil, err
 	}
 	resp := &Response{
 		Version: coestapi.Version, System: canonicalSystem(req.System),
-		Shard: s.cfg.ShardName, Backend: backend, Warm: warm,
+		Shard: s.cfg.ShardName, Backend: estimatorName, Warm: warm,
 		Points: make([]PointResult, 0, len(results)),
 	}
 	for _, r := range results {
@@ -605,7 +573,7 @@ func (s *Server) estimateDegraded(ctx context.Context, req *Request) *Response {
 	}
 	resp := &Response{
 		Version: coestapi.Version, System: canonicalSystem(req.System),
-		Shard: s.cfg.ShardName, Backend: sess.Backend(), Warm: true,
+		Shard: s.cfg.ShardName, Backend: estimatorName, Warm: true,
 		Degraded: true, DegradedReason: "overloaded",
 		Points: make([]PointResult, 0, len(results)),
 	}
@@ -821,9 +789,9 @@ func validateRequest(req *Request) *reqError {
 	if _, err := buildSystem(req); err != nil {
 		return &reqError{status: http.StatusBadRequest, code: coestapi.CodeBadRequest, msg: "bad request: " + err.Error()}
 	}
-	if !validBackend(req.Backend) {
+	if !wireBackends[req.Backend] {
 		return &reqError{status: http.StatusBadRequest, code: coestapi.CodeBadRequest,
-			msg: fmt.Sprintf("bad request: unknown backend %q (known: %s)", req.Backend, strings.Join(coest.Backends(), ", "))}
+			msg: fmt.Sprintf("bad request: unknown backend %q (known: compiled, interpreted, packed64)", req.Backend)}
 	}
 	return nil
 }

@@ -3,9 +3,12 @@ package coest_test
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/ecache"
 	"repro/internal/telemetry"
 	"repro/pkg/coest"
 )
@@ -66,6 +69,77 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	if restored.SnapshotPaths() != origin.SnapshotPaths() {
 		t.Fatalf("restored %d cache paths, origin has %d", restored.SnapshotPaths(), origin.SnapshotPaths())
+	}
+}
+
+// legacySnap is the session snapshot payload as earlier builds wrote it:
+// today's fields plus the name of the session's estimator backend.
+type legacySnap struct {
+	Backend   string
+	Artifacts core.ArtifactsState
+	Caches    []legacyCacheSnap
+}
+
+type legacyCacheSnap struct {
+	Params coest.ECacheParams
+	SW, HW []ecache.PathStat
+}
+
+// TestSnapshotLegacyBackendField: a snapshot in the old layout, naming the
+// packed64 backend, restores and estimates bit-identically to its origin.
+func TestSnapshotLegacyBackendField(t *testing.T) {
+	ctx := context.Background()
+	origin, err := coest.NewSession(coest.TCPIP(quickTCPIP()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := origin.Estimate(ctx, coest.WithEnergyCache()); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := origin.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	const hdr = 10 // magic + format version
+	raw := buf.Bytes()
+	var snap legacySnap
+	if err := gob.NewDecoder(bytes.NewReader(raw[hdr:])).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	snap.Backend = "packed64"
+	var old bytes.Buffer
+	old.Write(raw[:hdr])
+	if err := gob.NewEncoder(&old).Encode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(old.Bytes(), []byte("packed64")) {
+		t.Fatal("legacy payload does not carry the backend name")
+	}
+
+	restored, err := coest.RestoreSession(coest.TCPIP(quickTCPIP()), &old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restored.SnapshotPaths() != origin.SnapshotPaths() {
+		t.Fatalf("restored %d cache paths, origin has %d", restored.SnapshotPaths(), origin.SnapshotPaths())
+	}
+	for _, opts := range [][]coest.Option{nil, {coest.WithEnergyCache()}} {
+		want, err := origin.Estimate(ctx, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := restored.Estimate(ctx, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Total != want.Total || got.SWEnergy != want.SWEnergy || got.HWEnergy != want.HWEnergy ||
+			got.BusEnergy != want.BusEnergy || got.SimulatedTime != want.SimulatedTime ||
+			got.ISSCalls != want.ISSCalls || got.ISSInsts != want.ISSInsts || got.GateExecs != want.GateExecs {
+			t.Fatalf("restored report differs (%d options):\n got %v %v %v %v %v %d %d %d\nwant %v %v %v %v %v %d %d %d",
+				len(opts),
+				got.Total, got.SWEnergy, got.HWEnergy, got.BusEnergy, got.SimulatedTime, got.ISSCalls, got.ISSInsts, got.GateExecs,
+				want.Total, want.SWEnergy, want.HWEnergy, want.BusEnergy, want.SimulatedTime, want.ISSCalls, want.ISSInsts, want.GateExecs)
+		}
 	}
 }
 
