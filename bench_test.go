@@ -272,6 +272,51 @@ func BenchmarkGateSim(b *testing.B) {
 	b.ReportMetric(float64(cycles)*float64(gates)/b.Elapsed().Seconds(), "gate-evals/s")
 }
 
+// BenchmarkGateStall measures the gate-level simulator on bus-bound
+// hardware: a checksum loop that reads shared memory every iteration, with
+// every access stalled 64 bus-wait cycles, so held-input stall cycles
+// dominate the simulated clock.
+func BenchmarkGateStall(b *testing.B) {
+	bd := cfsm.NewBuilder("sum")
+	s := bd.State("s")
+	in := bd.Input("GO")
+	acc := bd.Var("ACC", 0)
+	i := bd.Var("I", 0)
+	w := bd.Var("W", 0)
+	bd.On(s, in).Do(
+		cfsm.Set(acc, cfsm.Const(0)),
+		cfsm.Set(i, cfsm.Const(0)),
+		cfsm.Repeat(cfsm.Const(16),
+			cfsm.MemRead(w, bd.V(i)),
+			cfsm.Set(acc, cfsm.Add(bd.V(acc), bd.V(w))),
+			cfsm.Set(i, cfsm.Add(bd.V(i), cfsm.Const(1))),
+		),
+	)
+	m := bd.MustBuild()
+	mod, err := hwsyn.Synthesize(m, hwsyn.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	drv, err := hwsyn.NewDriver(mod, 3.3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mem := func(addr, wdata uint32, write bool) (uint32, uint64) { return addr * 3, 64 }
+	b.ResetTimer()
+	var cycles uint64
+	for k := 0; k < b.N; k++ {
+		m.Reset()
+		m.Post(0, 0)
+		r, _ := m.React(cfsm.NullEnv{})
+		st, err := drv.ExecTransition(r, mem)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cycles += st.Cycles
+	}
+	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/s")
+}
+
 // BenchmarkBusModel measures the behavioral bus/arbiter throughput.
 func BenchmarkBusModel(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -20,12 +20,18 @@ var (
 // settle combinational logic, charge ½·C·Vdd² per net transition, then
 // capture flip-flop state for the next cycle.
 //
-// Net values are bit-packed 64 to a word, gate dependencies are flattened
-// into CSR arrays, and dirty work is tracked in per-level bitsets, so the
-// settle loop skips 64 clean gates per word and a steady-state Cycle
-// performs no allocations. Evaluation order within a level is ascending
-// position — identical to the historical per-gate sweep — so energies stay
+// Net values are bit-packed 64 to a word and gate dependencies are
+// flattened into CSR arrays. Dirty gates are one bit each in a level-ordered
+// bitset, summarized by one bit per dirty word, so settle visits only the
+// words that hold dirty gates and a steady-state Cycle performs no
+// allocations. Evaluation order is level order, ascending position within a
+// level — identical to the historical per-gate sweep — so energies stay
 // bit-identical.
+//
+// A cycle in which no flop launches, no input flips and no gate is
+// evaluated is quiet: the netlist is at a fixpoint of its inputs, so the
+// flop capture is skipped, and a caller holding the inputs may credit any
+// number of further identical cycles with Hold instead of simulating them.
 type Sim struct {
 	N   *Netlist
 	Vdd units.Voltage
@@ -53,20 +59,28 @@ type Sim struct {
 	dNets []NetID
 
 	// Activity-driven evaluation: only gates whose inputs changed are
-	// re-evaluated, level by level (same fixpoint as full evaluation).
-	// Dirtiness is one bit per gate grouped by level in a single flat
-	// bitset, so whole words of clean gates are skipped; every hot-path
-	// lookup (dirty target, input bit, switch energy) is precomputed into
-	// parallel flat arrays at construction.
-	levelGates [][]int32      // gate indices per level, in topo order
-	dirtyBits  []uint64       // concatenated per-level dirty bitsets
-	levelOff   []int32        // level -> first word in dirtyBits
-	fanOff     []int32        // net -> [fanOff[n], fanOff[n+1]) fanout edges
-	fanIdx     []uint32       // edge -> global bit index into dirtyBits
-	hot        []hotGate      // gate -> packed hot-path record
-	insFlat    []NetID        // flattened gate inputs (N-ary fallback only)
-	swE        []units.Energy // net -> SwitchEnergy(cap_[net], Vdd, 1)
-	evals      uint64
+	// re-evaluated (same fixpoint as full evaluation). Dirtiness is one bit
+	// per gate in a flat bitset where each level starts a fresh word, and
+	// dirtySum has one bit per non-empty dirtyBits word, so settle jumps
+	// straight to dirty words; every hot-path lookup (dirty target, input
+	// bit, switch energy) is precomputed into parallel flat arrays at
+	// construction.
+	dirtyBits []uint64       // level-ordered dirty bitset, one bit per gate
+	dirtySum  []uint64       // one bit per non-zero dirtyBits word
+	bitGate   []int32        // global dirty bit -> gate index
+	fanOff    []int32        // net -> [fanOff[n], fanOff[n+1]) fanout edges
+	fanIdx    []uint32       // edge -> global bit index into dirtyBits
+	hot       []hotGate      // gate -> packed hot-path record
+	insFlat   []NetID        // flattened gate inputs (N-ary fallback only)
+	swE       []units.Energy // net -> SwitchEnergy(cap_[net], Vdd, 1)
+	evals     uint64
+
+	// quiet reports that the last cycle switched nothing (see Quiet);
+	// lastE is that cycle's energy. forced records a ForceFlop since the
+	// last capture, which makes nextQ stale until the next capture.
+	quiet  bool
+	forced bool
+	lastE  units.Energy
 }
 
 // hotGate is everything the settle loop needs about one gate, packed into
@@ -167,22 +181,29 @@ func NewSim(n *Netlist, vdd units.Voltage) (*Sim, error) {
 			maxLevel = lv
 		}
 	}
-	s.levelGates = make([][]int32, maxLevel+1)
+	levelGates := make([][]int32, maxLevel+1)
 	for _, gi := range order {
-		s.levelGates[level[gi]] = append(s.levelGates[level[gi]], int32(gi))
+		levelGates[level[gi]] = append(levelGates[level[gi]], int32(gi))
 	}
-	// Each gate's dirty bit lives at (levelOff[level] words + position in
-	// level); precompute that address per gate for the fanout edges below.
-	s.levelOff = make([]int32, maxLevel+2)
-	for lv, gates := range s.levelGates {
-		s.levelOff[lv+1] = s.levelOff[lv] + int32((len(gates)+63)/64)
+	// Each level starts a fresh dirty word, so a gate (which only dirties
+	// gates at higher levels) only ever dirties words above its own, and
+	// ascending word order is level order. A gate's dirty bit is its
+	// level's first word times 64 plus its position in the level.
+	words := 0
+	for _, gates := range levelGates {
+		words += (len(gates) + 63) / 64
 	}
-	s.dirtyBits = make([]uint64, s.levelOff[maxLevel+1])
+	s.dirtyBits = make([]uint64, words)
+	s.dirtySum = make([]uint64, (words+63)/64)
+	s.bitGate = make([]int32, words*64)
 	dirtyIdx := make([]uint32, len(n.Gates))
-	for lv, gates := range s.levelGates {
+	off := 0
+	for _, gates := range levelGates {
 		for pos, gi := range gates {
-			dirtyIdx[gi] = uint32(s.levelOff[lv])<<6 + uint32(pos)
+			dirtyIdx[gi] = uint32(off<<6 + pos)
+			s.bitGate[off<<6+pos] = gi
 		}
+		off += (len(gates) + 63) / 64
 	}
 
 	// CSR fanout: per edge, the global dirty-bit index of the dependent
@@ -274,6 +295,9 @@ func (s *Sim) setBit(id NetID, v bool) {
 // path — Reset; the settle loop inlines the same dispatch).
 func (s *Sim) evalGate(gi int32) bool {
 	h := s.hot[gi]
+	if h.op >= opAndN {
+		return s.evalWide(h) != 0
+	}
 	val := s.val
 	va := val[uint32(h.a)>>6] >> (uint32(h.a) & 63)
 	switch h.op {
@@ -291,33 +315,44 @@ func (s *Sim) evalGate(gi int32) bool {
 		return (va^val[uint32(h.b)>>6]>>(uint32(h.b)&63))&1 == 0
 	case opNot:
 		return va&1 == 0
-	case opBuf:
+	default: // opBuf
 		return va&1 != 0
-	case opAndN, opNandN:
-		r := true
-		for _, in := range s.insFlat[h.a:h.b] {
-			if val[uint32(in)>>6]>>(uint32(in)&63)&1 == 0 {
-				r = false
-				break
-			}
-		}
-		return r != (h.op == opNandN)
-	case opOrN, opNorN:
-		r := false
-		for _, in := range s.insFlat[h.a:h.b] {
-			if val[uint32(in)>>6]>>(uint32(in)&63)&1 != 0 {
-				r = true
-				break
-			}
-		}
-		return r != (h.op == opNorN)
-	default: // opXorN, opXnorN
-		r := false
-		for _, in := range s.insFlat[h.a:h.b] {
-			r = r != (val[uint32(in)>>6]>>(uint32(in)&63)&1 != 0)
-		}
-		return r != (h.op == opXnorN)
 	}
+}
+
+// evalWide computes an N-ary gate's function (0 or 1) over the packed net
+// values; a/b bound its inputs in insFlat. Synthesized netlists use only
+// 1- and 2-input gates, so this stays out of the inlined settle dispatch.
+func (s *Sim) evalWide(h hotGate) uint64 {
+	val := s.val
+	var v uint64
+	switch h.op {
+	case opAndN, opNandN:
+		v = 1
+		for _, in := range s.insFlat[h.a:h.b] {
+			v &= val[uint32(in)>>6] >> (uint32(in) & 63)
+		}
+		v &= 1
+		if h.op == opNandN {
+			v ^= 1
+		}
+	case opOrN, opNorN:
+		for _, in := range s.insFlat[h.a:h.b] {
+			v |= val[uint32(in)>>6] >> (uint32(in) & 63) & 1
+		}
+		if h.op == opNorN {
+			v ^= 1
+		}
+	default: // opXorN, opXnorN
+		for _, in := range s.insFlat[h.a:h.b] {
+			v ^= val[uint32(in)>>6] >> (uint32(in) & 63)
+		}
+		v &= 1
+		if h.op == opXnorN {
+			v ^= 1
+		}
+	}
+	return v
 }
 
 // Specialized eval opcodes: the settle loop dispatches on these instead of
@@ -380,10 +415,11 @@ func specializeOp(k Kind, nIns int) uint8 {
 
 // markDirty queues every gate reading net for re-evaluation. Each fanout
 // edge carries the dependent gate's global dirty-bit index directly, so
-// this is one OR per edge.
+// this is one OR per edge into the bitset and one into its summary.
 func (s *Sim) markDirty(net NetID) {
 	for _, di := range s.fanIdx[s.fanOff[net]:s.fanOff[net+1]] {
 		s.dirtyBits[di>>6] |= 1 << (di & 63)
+		s.dirtySum[di>>12] |= 1 << (di >> 6 & 63)
 	}
 }
 
@@ -418,10 +454,15 @@ func (s *Sim) Reset() {
 	for i := range s.dirtyBits {
 		s.dirtyBits[i] = 0
 	}
+	for i := range s.dirtySum {
+		s.dirtySum[i] = 0
+	}
+	s.quiet, s.lastE = false, 0
 }
 
 // capture latches each flop's D value into the next-state bitset.
 func (s *Sim) capture() {
+	s.forced = false
 	for i := range s.nextQ {
 		s.nextQ[i] = 0
 	}
@@ -443,7 +484,7 @@ func (s *Sim) Cycle(in InputVector) units.Energy {
 	if len(in) != len(s.N.Inputs) {
 		panic(fmt.Sprintf("gate: input vector width %d, want %d", len(in), len(s.N.Inputs)))
 	}
-	evals0 := s.evals
+	quiet := !s.forced
 	var e units.Energy
 
 	// Clock edge: flops launch the values captured at the end of the
@@ -455,6 +496,7 @@ func (s *Sim) Cycle(in InputVector) units.Energy {
 		if diff == 0 {
 			continue
 		}
+		quiet = false
 		for diff != 0 {
 			i := wi<<6 + bits.TrailingZeros64(diff)
 			diff &= diff - 1
@@ -471,6 +513,7 @@ func (s *Sim) Cycle(in InputVector) units.Energy {
 	// Apply primary inputs.
 	for i, id := range s.N.Inputs {
 		if s.bit(id) != in[i] {
+			quiet = false
 			s.flip(id)
 			s.toggles[id]++
 			e += s.swE[id]
@@ -478,77 +521,55 @@ func (s *Sim) Cycle(in InputVector) units.Energy {
 		}
 	}
 
-	// Settle combinational logic: only dirty gates, level by level in
-	// ascending position order (same fixpoint and same evaluation order as
-	// a full levelized pass). A gate can only dirty gates at higher levels,
-	// so each level's bitset is final when its turn comes.
+	// Settle combinational logic: only dirty gates, popping the lowest
+	// dirty word until none is left. Words are in level order and a gate
+	// only dirties words above its own, so this is the same fixpoint and
+	// the same evaluation order as a full levelized pass.
 	evals := s.evals
 	val := s.val
-	hot, insFlat := s.hot, s.insFlat
+	hot := s.hot
 	toggles, swE := s.toggles, s.swE
-	fanOff, fanIdx, dirtyBits := s.fanOff, s.fanIdx, s.dirtyBits
-	for lv, gates := range s.levelGates {
-		dirtyLv := dirtyBits[s.levelOff[lv]:s.levelOff[lv+1]]
-		for wi, w := range dirtyLv {
-			if w == 0 {
-				continue
-			}
-			dirtyLv[wi] = 0
+	fanOff, fanIdx := s.fanOff, s.fanIdx
+	dirtyBits, dirtySum, bitGate := s.dirtyBits, s.dirtySum, s.bitGate
+	for si := range dirtySum {
+		for dirtySum[si] != 0 {
+			sw := dirtySum[si]
+			wi := si<<6 + bits.TrailingZeros64(sw)
+			dirtySum[si] = sw & (sw - 1)
+			w := dirtyBits[wi]
+			dirtyBits[wi] = 0
 			base := wi << 6
 			for w != 0 {
-				pos := base + bits.TrailingZeros64(w)
+				gi := bitGate[base+bits.TrailingZeros64(w)]
 				w &= w - 1
-				gi := gates[pos]
 				evals++
 
 				// Evaluate gate gi over the packed values (manually
 				// inlined, branchless for the dominant 1/2-input forms:
 				// this is the hottest loop in the co-estimator).
 				h := hot[gi]
-				va := val[uint32(h.a)>>6] >> (uint32(h.a) & 63)
 				var v uint64
-				switch h.op {
-				case opAnd2:
-					v = va & (val[uint32(h.b)>>6] >> (uint32(h.b) & 63)) & 1
-				case opNand2:
-					v = ^(va & (val[uint32(h.b)>>6] >> (uint32(h.b) & 63))) & 1
-				case opOr2:
-					v = (va | val[uint32(h.b)>>6]>>(uint32(h.b)&63)) & 1
-				case opNor2:
-					v = ^(va | val[uint32(h.b)>>6]>>(uint32(h.b)&63)) & 1
-				case opXor2:
-					v = (va ^ val[uint32(h.b)>>6]>>(uint32(h.b)&63)) & 1
-				case opXnor2:
-					v = ^(va ^ val[uint32(h.b)>>6]>>(uint32(h.b)&63)) & 1
-				case opNot:
-					v = ^va & 1
-				case opBuf:
-					v = va & 1
-				case opAndN, opNandN:
-					v = 1
-					for _, in := range insFlat[h.a:h.b] {
-						v &= val[uint32(in)>>6] >> (uint32(in) & 63)
-					}
-					v &= 1
-					if h.op == opNandN {
-						v ^= 1
-					}
-				case opOrN, opNorN:
-					v = 0
-					for _, in := range insFlat[h.a:h.b] {
-						v |= val[uint32(in)>>6] >> (uint32(in) & 63) & 1
-					}
-					if h.op == opNorN {
-						v ^= 1
-					}
-				default: // opXorN, opXnorN
-					v = 0
-					for _, in := range insFlat[h.a:h.b] {
-						v ^= val[uint32(in)>>6] >> (uint32(in) & 63)
-					}
-					v &= 1
-					if h.op == opXnorN {
-						v ^= 1
+				if h.op >= opAndN {
+					v = s.evalWide(h)
+				} else {
+					va := val[uint32(h.a)>>6] >> (uint32(h.a) & 63)
+					switch h.op {
+					case opAnd2:
+						v = va & (val[uint32(h.b)>>6] >> (uint32(h.b) & 63)) & 1
+					case opNand2:
+						v = ^(va & (val[uint32(h.b)>>6] >> (uint32(h.b) & 63))) & 1
+					case opOr2:
+						v = (va | val[uint32(h.b)>>6]>>(uint32(h.b)&63)) & 1
+					case opNor2:
+						v = ^(va | val[uint32(h.b)>>6]>>(uint32(h.b)&63)) & 1
+					case opXor2:
+						v = (va ^ val[uint32(h.b)>>6]>>(uint32(h.b)&63)) & 1
+					case opXnor2:
+						v = ^(va ^ val[uint32(h.b)>>6]>>(uint32(h.b)&63)) & 1
+					case opNot:
+						v = ^va & 1
+					default: // opBuf
+						v = va & 1
 					}
 				}
 
@@ -559,24 +580,57 @@ func (s *Sim) Cycle(in InputVector) units.Energy {
 					e += swE[out]
 					for _, di := range fanIdx[fanOff[out]:fanOff[out+1]] {
 						dirtyBits[di>>6] |= 1 << (di & 63)
+						dirtySum[di>>12] |= 1 << (di >> 6 & 63)
 					}
 				}
 			}
 		}
 	}
-	s.evals = evals
 
-	// Capture next state.
-	s.capture()
+	// Capture next state. Only launches, input flips and ForceFlop dirty
+	// gates, so a quiet cycle evaluated none and changed no net: every D
+	// value, and hence nextQ, is what the last capture left.
+	s.quiet = quiet
+	if !quiet {
+		s.capture()
+		mEvals.Add(evals - s.evals)
+		s.evals = evals
+	}
 
 	s.cycles++
 	s.energy += e
+	s.lastE = e
 	if s.record {
 		s.history = append(s.history, e)
 	}
 	mCycles.Inc()
-	mEvals.Add(s.evals - evals0)
 	return e
+}
+
+// Quiet reports whether the last cycle switched nothing: no flop launched,
+// no input flipped and no gate was evaluated. The netlist is then at a
+// fixpoint of those inputs, and every further cycle with the same inputs
+// would repeat it exactly.
+func (s *Sim) Quiet() bool { return s.quiet }
+
+// Hold accounts n more cycles identical to the last one, which must have
+// been quiet, with the inputs held: the totals, the per-cycle history and
+// the cycle counter advance exactly as n Cycle calls would advance them,
+// one energy addition per cycle, without simulating anything.
+func (s *Sim) Hold(n uint64) {
+	if !s.quiet {
+		panic("gate: Hold after a cycle that was not quiet")
+	}
+	for i := uint64(0); i < n; i++ {
+		s.energy += s.lastE
+	}
+	if s.record {
+		for i := uint64(0); i < n; i++ {
+			s.history = append(s.history, s.lastE)
+		}
+	}
+	s.cycles += n
+	mCycles.Add(n)
 }
 
 // Value returns the current value of a net.
@@ -588,6 +642,7 @@ func (s *Sim) Value(id NetID) bool { return s.bit(id) }
 // skip executions and the register state must be re-aligned with the
 // behavioral model), not a physical event.
 func (s *Sim) ForceFlop(i int, v bool) {
+	s.forced, s.quiet = true, false
 	ff := s.N.DFFs[i]
 	if s.bit(ff.Q) != v {
 		s.flip(ff.Q)

@@ -118,11 +118,49 @@ func (d *Driver) VarValue(vi int) uint32 {
 // IdleCycles clocks the engine n cycles with no stimulus (idle power).
 func (d *Driver) IdleCycles(n uint64) units.Energy {
 	d.set(d.Mod.Go, false)
-	var e units.Energy
-	for i := uint64(0); i < n; i++ {
-		e += d.Sim.Cycle(d.in)
+	var st ExecStats
+	d.hold(&st, n)
+	return st.Energy
+}
+
+// cycle clocks the engine once with the current inputs, booking the cycle,
+// its energy and its emissions in st, and reports whether it emitted.
+func (d *Driver) cycle(st *ExecStats) (e units.Energy, emitted bool) {
+	e = d.Sim.Cycle(d.in)
+	st.Energy += e
+	st.Cycles++
+	mod := d.Mod
+	for p, pulse := range mod.OutPresent {
+		if d.Sim.Value(pulse) {
+			emitted = true
+			st.Emits = append(st.Emits, cfsm.Emission{
+				Port:  p,
+				Value: cfsm.Value(uint32(d.Sim.WordValue(mod.OutVals[p]))),
+			})
+		}
 	}
-	return e
+	return e, emitted
+}
+
+// hold clocks the engine n cycles with its inputs held. Once a cycle is
+// quiet and emitted nothing, every remaining cycle would repeat it exactly,
+// so they are credited without simulation: the simulator holds them, and
+// st gains their cycles and one energy addition per cycle, the same float
+// sequence stepping would produce.
+func (d *Driver) hold(st *ExecStats, n uint64) {
+	for ; n > 0; n-- {
+		e, emitted := d.cycle(st)
+		if emitted || !d.Sim.Quiet() {
+			continue
+		}
+		rest := n - 1
+		d.Sim.Hold(rest)
+		for i := uint64(0); i < rest; i++ {
+			st.Energy += e
+		}
+		st.Cycles += rest
+		return
+	}
 }
 
 // Exec is one in-flight transition execution. The simulation master resumes
@@ -175,19 +213,7 @@ func (d *Driver) Begin(r *cfsm.Reaction) (*Exec, error) {
 	return e, nil
 }
 
-func (e *Exec) cycle() {
-	e.stats.Energy += e.d.Sim.Cycle(e.d.in)
-	e.stats.Cycles++
-	mod := e.d.Mod
-	for p, pulse := range mod.OutPresent {
-		if e.d.Sim.Value(pulse) {
-			e.stats.Emits = append(e.stats.Emits, cfsm.Emission{
-				Port:  p,
-				Value: cfsm.Value(uint32(e.d.Sim.WordValue(mod.OutVals[p]))),
-			})
-		}
-	}
-}
+func (e *Exec) cycle() { e.d.cycle(&e.stats) }
 
 // Stats returns the statistics accumulated so far.
 func (e *Exec) Stats() ExecStats { return e.stats }
@@ -198,9 +224,7 @@ func (e *Exec) Done() bool { return e.done }
 // Stall burns n idle clock cycles (the engine waiting for the bus).
 func (e *Exec) Stall(n uint64) {
 	e.d.set(e.d.Mod.MemAck, false)
-	for i := uint64(0); i < n; i++ {
-		e.cycle()
-	}
+	e.d.hold(&e.stats, n)
 	e.stats.StallCycles += n
 }
 
