@@ -141,6 +141,10 @@ type Bus struct {
 	trace     []Grant
 	keepTrace bool
 	trc       *telemetry.Tracer
+
+	// arbitrateFn is b.arbitrate bound once: the kernel schedules it after
+	// every grant, and a fresh method value would allocate each time.
+	arbitrateFn func()
 }
 
 // New returns a bus attached to the kernel.
@@ -148,7 +152,9 @@ func New(k *sim.Kernel, cfg Config) (*Bus, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Bus{cfg: cfg, kernel: k, perMaster: make(map[int]*Stats)}, nil
+	b := &Bus{cfg: cfg, kernel: k, perMaster: make(map[int]*Stats)}
+	b.arbitrateFn = b.arbitrate
+	return b, nil
 }
 
 // MustNew is New, panicking on config errors.
@@ -296,7 +302,7 @@ func (b *Bus) arbitrate() {
 			b.kernel.At(end, done)
 		}
 	}
-	b.kernel.At(end, b.arbitrate)
+	b.kernel.At(end, b.arbitrateFn)
 }
 
 func mask(bits int) uint32 {

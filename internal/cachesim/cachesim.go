@@ -67,10 +67,11 @@ type line struct {
 // Cache is one set-associative LRU cache instance.
 type Cache struct {
 	cfg      Config
-	sets     [][]line
+	lines    []line // Sets × Ways, set-major
 	stamp    uint64
 	stats    Stats
 	lineBits uint
+	setBits  uint
 	setMask  uint32
 }
 
@@ -85,16 +86,13 @@ func New(cfg Config) (*Cache, error) {
 	if cfg.Ways <= 0 {
 		return nil, fmt.Errorf("cachesim: ways must be positive, got %d", cfg.Ways)
 	}
-	c := &Cache{
+	return &Cache{
 		cfg:      cfg,
-		sets:     make([][]line, cfg.Sets),
+		lines:    make([]line, cfg.Sets*cfg.Ways),
 		lineBits: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
+		setBits:  uint(bits.TrailingZeros(uint(cfg.Sets))),
 		setMask:  uint32(cfg.Sets - 1),
-	}
-	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Ways)
-	}
-	return c, nil
+	}, nil
 }
 
 // MustNew is New, panicking on config errors.
@@ -114,29 +112,32 @@ func (c *Cache) Stats() Stats { return c.stats }
 
 // Reset invalidates all lines and clears statistics.
 func (c *Cache) Reset() {
-	for i := range c.sets {
-		for j := range c.sets[i] {
-			c.sets[i][j] = line{}
-		}
-	}
+	clear(c.lines)
 	c.stamp = 0
 	c.stats = Stats{}
 }
 
 // Access probes the cache with one address and reports whether it hit.
 func (c *Cache) Access(addr uint32) bool {
+	_, hit := c.probe(addr)
+	return hit
+}
+
+// probe is one access: it books the probe (and the refill on a miss) and
+// returns the way that now holds addr's line.
+func (c *Cache) probe(addr uint32) (*line, bool) {
 	c.stamp++
 	c.stats.Accesses++
 	lineAddr := addr >> c.lineBits
-	set := c.sets[lineAddr&c.setMask]
-	tag := lineAddr >> uint(bits.TrailingZeros(uint(c.cfg.Sets)))
+	set := c.lines[int(lineAddr&c.setMask)*c.cfg.Ways:][:c.cfg.Ways]
+	tag := lineAddr >> c.setBits
 
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
 			set[i].lru = c.stamp
 			c.stats.Hits++
 			c.stats.Energy += c.cfg.HitEnergy
-			return true
+			return &set[i], true
 		}
 	}
 
@@ -155,14 +156,34 @@ func (c *Cache) Access(addr uint32) bool {
 	c.stats.Misses++
 	c.stats.Cycles += c.cfg.MissPenalty
 	c.stats.Energy += c.cfg.HitEnergy + c.cfg.MissEnergy
-	return false
+	return &set[victim], false
 }
 
 // AccessRange probes every instruction word in [start, end) — the "fast"
 // basic-block-range mode of [19]: the master knows a whole straight-line
 // block executes, so it feeds the range instead of per-instruction calls.
+//
+// The range is walked line by line: the first word of each line is a real
+// probe, and every later word of that line is a hit on the way just touched,
+// booked without searching the set. The result equals one Access per word —
+// stamps, counters and the LRU order advance per word, and HitEnergy is added
+// once per word so the float sum rounds identically. Addresses are 64-bit so
+// a range ending at the top of the address space terminates.
 func (c *Cache) AccessRange(start, end uint32) {
-	for a := start &^ 3; a < end; a += 4 {
-		c.Access(a)
+	stop := uint64(end)
+	for a := uint64(start &^ 3); a < stop; {
+		next := min((a>>c.lineBits+1)<<c.lineBits, stop)
+		words := (next - a + 3) / 4 // this line's words in the range
+		l, _ := c.probe(uint32(a))
+		e := c.stats.Energy
+		for w := uint64(1); w < words; w++ {
+			e += c.cfg.HitEnergy
+		}
+		c.stats.Energy = e
+		c.stamp += words - 1
+		c.stats.Accesses += words - 1
+		c.stats.Hits += words - 1
+		l.lru = c.stamp
+		a += 4 * words
 	}
 }

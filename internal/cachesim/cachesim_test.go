@@ -1,7 +1,9 @@
 package cachesim
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -204,5 +206,95 @@ func TestWarmLoopIsAllHits(t *testing.T) {
 	st := c.Stats()
 	if st.Misses != 0x200/16 {
 		t.Fatalf("misses = %d, want one per line on the first pass only", st.Misses)
+	}
+}
+
+// perWord is the reference for AccessRange: one Access per word of
+// [start, end), in 64-bit address arithmetic so the top of the address
+// space terminates.
+func perWord(c *Cache, start, end uint32) {
+	for a := uint64(start &^ 3); a < uint64(end); a += 4 {
+		c.Access(uint32(a))
+	}
+}
+
+func sameStats(a, b Stats) bool {
+	return a.Accesses == b.Accesses && a.Hits == b.Hits && a.Misses == b.Misses &&
+		a.Cycles == b.Cycles && math.Float64bits(float64(a.Energy)) == math.Float64bits(float64(b.Energy))
+}
+
+// TestAccessRangeMatchesPerWord is the property behind the line-granular
+// range mode: on random caches and ranges (unaligned ends, multi-line spans,
+// eviction pressure, ranges ending at 0xFFFFFFFF), AccessRange leaves the
+// same statistics — Energy compared bit for bit — and the same lines and
+// stamps as a per-word Access loop, and the same LRU behaviour, checked
+// through the hit/miss sequence of a follow-up access stream.
+func TestAccessRangeMatchesPerWord(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 300; trial++ {
+		cfg := Config{
+			Sets:        1 << rng.Intn(5),
+			Ways:        1 + rng.Intn(4),
+			LineBytes:   1 << rng.Intn(7), // 1..64 bytes, sub-word lines included
+			MissPenalty: uint64(rng.Intn(10)),
+			MissEnergy:  units.Energy(rng.Float64()) * units.Nanojoule,
+			HitEnergy:   units.Energy(rng.Float64()) * units.Nanojoule,
+		}
+		fast, ref := MustNew(cfg), MustNew(cfg)
+		// A small window makes ranges overlap and evict each other; the top
+		// window exercises the end of the address space.
+		base := uint32(0)
+		if trial%3 == 0 {
+			base = 0xFFFFFF00
+		}
+		for i := 0; i < 40; i++ {
+			start := base + uint32(rng.Intn(256))
+			end := start + uint32(rng.Intn(96))
+			switch {
+			case rng.Intn(8) == 0:
+				end = start // empty range
+			case base != 0 && (end < start || rng.Intn(4) == 0):
+				end = 0xFFFFFFFF
+			}
+			fast.AccessRange(start, end)
+			perWord(ref, start, end)
+			if !sameStats(fast.Stats(), ref.Stats()) {
+				t.Fatalf("trial %d cfg %+v range [%#x,%#x): stats %+v, per-word %+v",
+					trial, cfg, start, end, fast.Stats(), ref.Stats())
+			}
+			if !slices.Equal(fast.lines, ref.lines) || fast.stamp != ref.stamp {
+				t.Fatalf("trial %d cfg %+v range [%#x,%#x): line state differs from per-word access",
+					trial, cfg, start, end)
+			}
+		}
+		for i := 0; i < 200; i++ {
+			a := base + uint32(rng.Intn(256))
+			if fast.Access(a) != ref.Access(a) {
+				t.Fatalf("trial %d cfg %+v: follow-up access %d (%#x) disagrees, LRU state diverged",
+					trial, cfg, i, a)
+			}
+		}
+	}
+}
+
+// TestAccessRangeTopOfAddressSpace pins the termination of a range that
+// ends at the last address: its words are 0xFFFFFFF0..0xFFFFFFFC.
+func TestAccessRangeTopOfAddressSpace(t *testing.T) {
+	c := MustNew(small())
+	c.AccessRange(0xFFFFFFF0, 0xFFFFFFFF)
+	if st := c.Stats(); st.Accesses != 4 || st.Misses != 1 {
+		t.Fatalf("stats = %+v, want 4 accesses and 1 miss", st)
+	}
+}
+
+// TestAccessRangeZeroAlloc guards the I-cache range mode the master calls
+// once per basic block of every SW reaction.
+func TestAccessRangeZeroAlloc(t *testing.T) {
+	c := MustNew(Default8K())
+	if n := testing.AllocsPerRun(100, func() {
+		c.AccessRange(0x1000, 0x1234)
+		c.AccessRange(0x9000, 0x9100)
+	}); n != 0 {
+		t.Fatalf("AccessRange allocates %.1f times per call pair, want 0", n)
 	}
 }

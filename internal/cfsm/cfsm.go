@@ -138,6 +138,16 @@ type CFSM struct {
 	state  int
 	vars   []Value
 	inputs []inputState
+
+	// sizes holds, per transition, the longest traces any of its reactions
+	// has produced on this machine; React allocates a new reaction's
+	// slices at these capacities so they do not grow while it executes.
+	sizes []traceSizes
+}
+
+// traceSizes is the high-water mark of one transition's reaction traces.
+type traceSizes struct {
+	ops, emits, memops, decisions int
 }
 
 // Reset returns the machine to its initial state: state 0, variables at their
@@ -161,9 +171,10 @@ func (c *CFSM) VarValue(v int) Value { return c.vars[v] }
 
 // VarSnapshot returns a copy of all variable values — the pre-reaction
 // state the simulation master captures so estimators can be re-synchronized
-// after acceleration techniques skip invocations.
-func (c *CFSM) VarSnapshot() []Value {
-	return append([]Value(nil), c.vars...)
+// after acceleration techniques skip invocations. The copy is written into
+// dst's storage when it is large enough (pass nil for a fresh slice).
+func (c *CFSM) VarSnapshot(dst []Value) []Value {
+	return append(dst[:0], c.vars...)
 }
 
 // SetVar overrides the current value of variable v (test hook).
@@ -277,7 +288,17 @@ func (c *CFSM) React(env Env) (*Reaction, bool) {
 	}
 	tr := c.Transitions[ti]
 
-	x := execCtx{c: c, vars: c.vars, env: env, hash: 14695981039346656037}
+	if c.sizes == nil {
+		c.sizes = make([]traceSizes, len(c.Transitions))
+	}
+	sz := &c.sizes[ti]
+	x := execCtx{
+		c: c, vars: c.vars, env: env, hash: 14695981039346656037,
+		ops:       sized[OpKind](sz.ops),
+		emits:     sized[Emission](sz.emits),
+		memops:    sized[MemAccess](sz.memops),
+		decisions: sized[int32](sz.decisions),
+	}
 	x.mix32(uint32(ti))
 	for range tr.Trigger {
 		x.trace(ADETECT)
@@ -303,6 +324,10 @@ func (c *CFSM) React(env Env) (*Reaction, bool) {
 	from := c.state
 	c.state = tr.To
 
+	sz.ops = max(sz.ops, len(x.ops))
+	sz.emits = max(sz.emits, len(x.emits))
+	sz.memops = max(sz.memops, len(x.memops))
+	sz.decisions = max(sz.decisions, len(x.decisions))
 	return &Reaction{
 		Machine:   c,
 		TransIdx:  ti,
@@ -310,10 +335,27 @@ func (c *CFSM) React(env Env) (*Reaction, bool) {
 		ToState:   tr.To,
 		Path:      PathKey(x.hash),
 		Ops:       x.ops,
-		Emits:     x.emits,
-		MemOps:    x.memops,
-		Decisions: x.decisions,
+		Emits:     nilIfEmpty(x.emits),
+		MemOps:    nilIfEmpty(x.memops),
+		Decisions: nilIfEmpty(x.decisions),
 	}, true
+}
+
+// sized returns an empty slice with capacity n, or nil when n is 0.
+func sized[T any](n int) []T {
+	if n == 0 {
+		return nil
+	}
+	return make([]T, 0, n)
+}
+
+// nilIfEmpty keeps a pre-sized trace that stayed empty as nil, as it reads
+// when nothing was appended.
+func nilIfEmpty[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return s
 }
 
 func execBlock(b []Stmt, x *execCtx) {

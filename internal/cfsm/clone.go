@@ -2,9 +2,10 @@ package cfsm
 
 // Clone returns an independent runtime copy of the machine: the immutable
 // specification (names, initial values, transitions) is shared, while the
-// runtime state (current state, variable values, pending input events) is
-// copied. Cloning an in-flight machine captures its state at that instant;
-// cloning a freshly Reset machine yields a machine ready for a fresh run.
+// runtime state (current state, variable values, pending input events and
+// the per-transition trace sizes React allocates by) is copied. Cloning an
+// in-flight machine captures its state at that instant; cloning a freshly
+// Reset machine yields a machine ready for a fresh run.
 //
 // The specification slices must not be mutated after construction — that is
 // already the package-wide contract (the synthesizers and the simulation
@@ -14,6 +15,7 @@ func (c *CFSM) Clone() *CFSM {
 	out := *c
 	out.vars = append([]Value(nil), c.vars...)
 	out.inputs = append([]inputState(nil), c.inputs...)
+	out.sizes = append([]traceSizes(nil), c.sizes...)
 	return &out
 }
 

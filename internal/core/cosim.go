@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/attrib"
@@ -132,6 +133,16 @@ type CoSim struct {
 
 	envOut []ObservedEvent
 	trace  []recorded // Separate mode only
+
+	// Reused buffers of the SW reaction path: pooled jobs, the I-cache
+	// fetch ranges, the ISS outbox drain and the SW bus transfers (safe to
+	// share because the RTOS hold serializes SW reactions until their last
+	// transfer completes; HW and separate-mode transfers use fresh ones).
+	swJobs   []*swJob
+	ranges   []swsyn.Range
+	outbox   []cfsm.Emission
+	swGroups []busGroup
+	swData   []uint32
 
 	sepBusEnergy units.Energy
 	sepBusStats  bus.Stats
@@ -492,18 +503,26 @@ type busGroup struct {
 	write bool
 }
 
-func groupMemOps(ops []cfsm.MemAccess) []busGroup {
-	var out []busGroup
-	for _, op := range ops {
-		n := len(out)
-		if n > 0 && out[n-1].write == op.Write &&
-			op.Addr == out[n-1].addr+uint32(len(out[n-1].data)) {
-			out[n-1].data = append(out[n-1].data, uint32(op.Data))
-			continue
+// groupMemOps coalesces a reaction's memory accesses into bus groups: runs
+// of same-direction accesses to consecutive words. The groups are appended
+// to groups[:0] and every group's data is a window of one buffer, data's
+// storage when it is large enough, so a caller that owns both buffers can
+// reuse them once the transfers are done (pass nil, nil for fresh ones).
+func groupMemOps(groups []busGroup, data []uint32, ops []cfsm.MemAccess) ([]busGroup, []uint32) {
+	groups = groups[:0]
+	data = slices.Grow(data[:0], len(ops))[:len(ops)]
+	for i, op := range ops {
+		data[i] = uint32(op.Data)
+		if n := len(groups); n > 0 {
+			g := &groups[n-1]
+			if g.write == op.Write && op.Addr == g.addr+uint32(len(g.data)) {
+				g.data = data[i-len(g.data) : i+1]
+				continue
+			}
 		}
-		out = append(out, busGroup{addr: op.Addr, data: []uint32{uint32(op.Data)}, write: op.Write})
+		groups = append(groups, busGroup{addr: op.Addr, data: data[i : i+1], write: op.Write})
 	}
-	return out
+	return groups, data
 }
 
 // Run executes the co-estimation and returns the report.

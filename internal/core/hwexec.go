@@ -26,7 +26,7 @@ func (cs *CoSim) startHW(mi int, ex *hwExec) {
 	if m.Enabled() < 0 {
 		return
 	}
-	preVars := m.VarSnapshot()
+	preVars := m.VarSnapshot(nil)
 	r, ok := m.React(cs.shared)
 	if !ok {
 		return
@@ -282,7 +282,9 @@ func (cs *CoSim) finishHW(mi int, ex *hwExec, r *cfsm.Reaction, lumpCycles uint6
 			onZero()
 		}
 	}
-	for _, g := range groupMemOps(r.MemOps) {
+	// Fresh buffers: these transfers can overlap a SW reaction's.
+	groups, _ := groupMemOps(nil, nil, r.MemOps)
+	for _, g := range groups {
 		outstanding++
 		cs.bus.Submit(&bus.Request{
 			Master: mi, Addr: g.addr * 4, Data: g.data, Write: g.write,

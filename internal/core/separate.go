@@ -20,13 +20,8 @@ func (cs *CoSim) separateEstimate() error {
 			cycles, energy := cs.runISS(mi, rec.r, rec.preVars)
 			if cs.icache != nil {
 				before := cs.icache.Stats()
-				mc := cs.image.Machines[cs.swIdx[mi]]
-				ranges, err := mc.FetchTrace(rec.r)
-				if err != nil {
+				if err := cs.fetchICache(mi, rec.r); err != nil {
 					return err
-				}
-				for _, rg := range ranges {
-					cs.icache.AccessRange(rg.Start, rg.End)
 				}
 				d := cs.icache.Stats()
 				cycles += d.Cycles - before.Cycles
@@ -59,7 +54,7 @@ func (cs *CoSim) separateEstimate() error {
 	perMaster := map[int][]busGroup{}
 	var order []int
 	for _, rec := range cs.trace {
-		gs := groupMemOps(rec.r.MemOps)
+		gs, _ := groupMemOps(nil, nil, rec.r.MemOps)
 		if len(gs) == 0 {
 			continue
 		}

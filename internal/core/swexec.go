@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/audit"
 	"repro/internal/bus"
 	"repro/internal/cfsm"
@@ -23,125 +25,175 @@ const (
 	srcRTOS     = "rtos"
 )
 
+// swJob is one software reaction on its way through the RTOS: the job the
+// scheduler dispatches, the reaction its Service produced, and the join of
+// its CPU phase with its bus transfers. Jobs are pooled per run and their
+// callbacks are bound once, so a warm reaction allocates no closures, bus
+// requests or variable snapshots.
+type swJob struct {
+	cs  *CoSim
+	mi  int
+	job rtos.Job
+
+	r       *cfsm.Reaction // nil when the dispatch found nothing to fire
+	preVars []cfsm.Value
+	reqs    []bus.Request
+	busLeft int // outstanding bus groups of this reaction
+	cpuDone bool
+	cpuEnd  units.Time
+
+	transferDoneFn func() // j.transferDone, bound once
+}
+
 // activateSW routes a software machine's pending events through the RTOS:
 // the behavioral reaction executes at dispatch time (so shared-processor
 // serialization is honored), the estimator stack produces its cost, the CPU
 // is held through the reaction's bus transfers (programmed I/O), and the
 // emissions are delivered when the transfers complete.
 func (cs *CoSim) activateSW(mi int) {
-	m := cs.sys.Net.Machines[mi]
-	var r *cfsm.Reaction
-	var busLeft int // outstanding bus groups of this reaction
-	var cpuDone bool
-	var cpuEnd units.Time
-	var finish func()
-	job := &rtos.Job{
-		ID:       mi,
-		Priority: cs.procs[mi].Priority,
-		Hold:     true,
-		Service: func() units.Time {
-			r = nil
-			if m.Enabled() < 0 {
-				return 0 // events were consumed by an earlier dispatch
-			}
-			preVars := m.VarSnapshot()
-			rr, ok := m.React(cs.shared)
-			if !ok {
-				return 0
-			}
-			r = rr
-			cs.machineReact[mi]++
-			mReactions.Inc()
-			if m.Enabled() >= 0 {
-				// Other pending events can fire further transitions.
-				cs.activateSW(mi)
-			}
-
-			if cs.cfg.Mode == Separate {
-				cs.emitReaction(mi, rr, 0, 0, 0)
-				cs.trace = append(cs.trace, recorded{machine: mi, r: rr, preVars: preVars})
-				finish = func() {
-					cs.deliver(mi, rr)
-					cs.sched.Release()
-				}
-				return 0
-			}
-
-			cycles, energy, src := cs.estimateSW(mi, rr, preVars)
-			cs.emitAttrib(mi, src, uint64(rr.Path), energy)
-
-			// Fast instruction-cache simulation, fed by the master from the
-			// statically reconstructed path trace (never from the ISS).
-			if cs.icache != nil {
-				before := cs.icache.Stats()
-				mc := cs.image.Machines[cs.swIdx[mi]]
-				ranges, err := mc.FetchTrace(rr)
-				if err != nil {
-					cs.fail(err)
-					return 0
-				}
-				for _, rg := range ranges {
-					cs.icache.AccessRange(rg.Start, rg.End)
-				}
-				d := cs.icache.Stats()
-				cycles += d.Cycles - before.Cycles
-				ce := d.Energy - before.Energy
-				cs.cacheEnergy += ce
-				cs.wave.Add("icache", cs.kernel.Now(), ce)
-				cs.emitAttrib(mi, srcICache, uint64(rr.Path), ce)
-			}
-
-			cs.machineCycles[mi] += cycles
-			cs.machineEnergy[mi] += energy
-			cs.transEnergy[mi][rr.TransIdx] += energy
-			cs.transCount[mi][rr.TransIdx]++
-			cs.wave.Add(m.Name, cs.kernel.Now(), energy)
-
-			// Issue the reaction's bus transfers now: loads and stores
-			// interleave with the computation, so they contend with other
-			// masters in real time. The reaction completes when both the
-			// CPU phase and the last transfer finish.
-			cpuDur := units.Time(cycles) * cs.cfg.Timing.Clock.Period()
-			cs.emitReaction(mi, rr, cycles, energy, cpuDur)
-			finish = func() {
-				if wait := cs.kernel.Now() - cpuEnd; wait > 0 {
-					// The CPU stalls on its outstanding transfers.
-					we := units.Energy(float64(cs.cfg.CPUIdle) * wait.Seconds())
-					cs.machineWait[mi] += we
-					cs.wave.Add(m.Name, cs.kernel.Now(), we)
-					cs.emitAttrib(mi, srcWait, 0, we)
-				}
-				cs.deliver(mi, rr)
-				cs.sched.Release()
-			}
-			groups := groupMemOps(rr.MemOps)
-			busLeft = len(groups)
-			for _, g := range groups {
-				cs.bus.Submit(&bus.Request{
-					Master: mi, Addr: g.addr * 4, Data: g.data, Write: g.write,
-					Done: func() {
-						busLeft--
-						if busLeft == 0 && cpuDone {
-							finish()
-						}
-					},
-				})
-			}
-			return cpuDur
-		},
-		Done: func() {
-			if r == nil {
-				cs.sched.Release()
-				return
-			}
-			cpuDone = true
-			cpuEnd = cs.kernel.Now()
-			if busLeft == 0 {
-				finish()
-			}
-		},
+	var j *swJob
+	if n := len(cs.swJobs); n > 0 {
+		j = cs.swJobs[n-1]
+		cs.swJobs = cs.swJobs[:n-1]
+	} else {
+		j = &swJob{cs: cs}
+		j.job.Hold = true
+		j.job.Service = j.service
+		j.job.Done = j.cpuPhaseDone
+		j.transferDoneFn = j.transferDone
 	}
-	cs.sched.Post(job)
+	j.mi = mi
+	j.job.ID = mi
+	j.job.Priority = cs.procs[mi].Priority
+	j.r, j.busLeft, j.cpuDone, j.cpuEnd = nil, 0, false, 0
+	cs.sched.Post(&j.job)
+}
+
+// service runs at dispatch: the behavioral reaction, its cost, its I-cache
+// fetches and the issue of its bus transfers. It returns the CPU phase.
+func (j *swJob) service() units.Time {
+	cs, mi := j.cs, j.mi
+	m := cs.sys.Net.Machines[mi]
+	if m.Enabled() < 0 {
+		return 0 // events were consumed by an earlier dispatch
+	}
+	j.preVars = m.VarSnapshot(j.preVars)
+	rr, ok := m.React(cs.shared)
+	if !ok {
+		return 0
+	}
+	j.r = rr
+	cs.machineReact[mi]++
+	mReactions.Inc()
+	if m.Enabled() >= 0 {
+		// Other pending events can fire further transitions.
+		cs.activateSW(mi)
+	}
+
+	if cs.cfg.Mode == Separate {
+		cs.emitReaction(mi, rr, 0, 0, 0)
+		preVars := append([]cfsm.Value(nil), j.preVars...)
+		cs.trace = append(cs.trace, recorded{machine: mi, r: rr, preVars: preVars})
+		return 0
+	}
+
+	cycles, energy, src := cs.estimateSW(mi, rr, j.preVars)
+	cs.emitAttrib(mi, src, uint64(rr.Path), energy)
+
+	// Fast instruction-cache simulation, fed by the master from the
+	// statically reconstructed path trace (never from the ISS).
+	if cs.icache != nil {
+		before := cs.icache.Stats()
+		if err := cs.fetchICache(mi, rr); err != nil {
+			cs.fail(err)
+			return 0
+		}
+		d := cs.icache.Stats()
+		cycles += d.Cycles - before.Cycles
+		ce := d.Energy - before.Energy
+		cs.cacheEnergy += ce
+		cs.wave.Add("icache", cs.kernel.Now(), ce)
+		cs.emitAttrib(mi, srcICache, uint64(rr.Path), ce)
+	}
+
+	cs.machineCycles[mi] += cycles
+	cs.machineEnergy[mi] += energy
+	cs.transEnergy[mi][rr.TransIdx] += energy
+	cs.transCount[mi][rr.TransIdx]++
+	cs.wave.Add(m.Name, cs.kernel.Now(), energy)
+
+	// Issue the reaction's bus transfers now: loads and stores
+	// interleave with the computation, so they contend with other
+	// masters in real time. The reaction completes when both the
+	// CPU phase and the last transfer finish.
+	cpuDur := units.Time(cycles) * cs.cfg.Timing.Clock.Period()
+	cs.emitReaction(mi, rr, cycles, energy, cpuDur)
+	// The RTOS hold serializes SW reactions until their last transfer
+	// completes, so the transfer buffers are the SW partition's own.
+	cs.swGroups, cs.swData = groupMemOps(cs.swGroups, cs.swData, rr.MemOps)
+	j.busLeft = len(cs.swGroups)
+	j.reqs = slices.Grow(j.reqs[:0], len(cs.swGroups))[:len(cs.swGroups)]
+	for i, g := range cs.swGroups {
+		j.reqs[i] = bus.Request{
+			Master: mi, Addr: g.addr * 4, Data: g.data, Write: g.write,
+			Done: j.transferDoneFn,
+		}
+		cs.bus.Submit(&j.reqs[i])
+	}
+	return cpuDur
+}
+
+// cpuPhaseDone fires when the reaction's CPU phase ends.
+func (j *swJob) cpuPhaseDone() {
+	if j.r == nil {
+		j.cs.sched.Release()
+		j.cs.swJobs = append(j.cs.swJobs, j)
+		return
+	}
+	j.cpuDone = true
+	j.cpuEnd = j.cs.kernel.Now()
+	if j.busLeft == 0 {
+		j.finish()
+	}
+}
+
+// transferDone fires when one of the reaction's bus groups completes.
+func (j *swJob) transferDone() {
+	j.busLeft--
+	if j.busLeft == 0 && j.cpuDone {
+		j.finish()
+	}
+}
+
+// finish ends the reaction once its CPU phase and transfers are both over:
+// the wait for the transfers is charged, the emissions are delivered, the
+// processor is released and the job returns to the pool.
+func (j *swJob) finish() {
+	cs, mi := j.cs, j.mi
+	if wait := cs.kernel.Now() - j.cpuEnd; wait > 0 {
+		// The CPU stalls on its outstanding transfers.
+		we := units.Energy(float64(cs.cfg.CPUIdle) * wait.Seconds())
+		cs.machineWait[mi] += we
+		cs.wave.Add(cs.sys.Net.Machines[mi].Name, cs.kernel.Now(), we)
+		cs.emitAttrib(mi, srcWait, 0, we)
+	}
+	cs.deliver(mi, j.r)
+	cs.sched.Release()
+	cs.swJobs = append(cs.swJobs, j)
+}
+
+// fetchICache feeds reaction r's instruction-fetch ranges to the I-cache.
+func (cs *CoSim) fetchICache(mi int, r *cfsm.Reaction) error {
+	mc := cs.image.Machines[cs.swIdx[mi]]
+	ranges, err := mc.FetchTrace(r, cs.ranges)
+	cs.ranges = ranges
+	if err != nil {
+		return err
+	}
+	for _, rg := range ranges {
+		cs.icache.AccessRange(rg.Start, rg.End)
+	}
+	return nil
 }
 
 // estimateSW is the software estimator stack of Fig 2(b): energy cache, then
@@ -226,7 +278,7 @@ func (cs *CoSim) runISS(mi int, r *cfsm.Reaction, preVars []cfsm.Value) (uint64,
 		cs.fail(err)
 		return 0, 0
 	}
-	mc.ReadOutbox(cs.cpu.Mem) // drain; behavioral emissions drive delivery
+	cs.outbox = mc.ReadOutbox(cs.cpu.Mem, cs.outbox) // drain; behavioral emissions drive delivery
 	cs.issCalls++
 	cs.machineEstCalls[mi]++
 	cs.trc.Emit(telemetry.Event{
@@ -260,7 +312,7 @@ func (cs *CoSim) shadowSW(tech audit.Technique, cache *ecache.Cache, key ecache.
 		cs.fail(err)
 		return
 	}
-	mc.ReadOutbox(cs.cpu.Mem)
+	cs.outbox = mc.ReadOutbox(cs.cpu.Mem, cs.outbox)
 	out := cs.audit.Observe(tech, served, st.Energy)
 	cs.emitShadow(mi, r, tech.String(), served, st.Energy, st.Cycles)
 	if cache != nil {

@@ -108,7 +108,7 @@ func charBench(m *cfsm.CFSM, timing *iss.TimingModel, power *iss.PowerModel, pos
 		if err != nil {
 			return measurement{}, fmt.Errorf("macromodel: template %s: %w", m.Name, err)
 		}
-		mc.ReadOutbox(mem)
+		mc.ReadOutbox(mem, nil)
 		st = s
 	}
 	return measurement{

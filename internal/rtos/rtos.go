@@ -8,8 +8,6 @@
 package rtos
 
 import (
-	"sort"
-
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/units"
@@ -82,6 +80,12 @@ type Scheduler struct {
 	holding bool
 	seq     uint64
 	stats   Stats
+
+	// running is the dispatched job whose CPU phase is in flight (one at
+	// a time: the processor is busy until it completes); serviceEndFn is
+	// s.serviceEnd bound once, so a dispatch schedules no fresh closure.
+	running      *Job
+	serviceEndFn func()
 }
 
 // New returns a scheduler attached to the kernel.
@@ -89,7 +93,9 @@ func New(k *sim.Kernel, cfg Config) *Scheduler {
 	if cfg.Clock <= 0 {
 		cfg.Clock = 50e6
 	}
-	return &Scheduler{cfg: cfg, kernel: k}
+	s := &Scheduler{cfg: cfg, kernel: k}
+	s.serviceEndFn = s.serviceEnd
+	return s
 }
 
 // Stats returns the accumulated statistics.
@@ -121,15 +127,17 @@ func (s *Scheduler) Post(j *Job) {
 	}
 }
 
+// pick removes and returns the next job: the queue head under FIFO, the
+// lowest Priority (earliest posted among equals) under PriorityPolicy.
 func (s *Scheduler) pick() *Job {
 	best := 0
 	if s.cfg.Policy == PriorityPolicy {
-		sort.SliceStable(s.queue, func(a, b int) bool {
-			if s.queue[a].Priority != s.queue[b].Priority {
-				return s.queue[a].Priority < s.queue[b].Priority
+		for i, j := range s.queue {
+			b := s.queue[best]
+			if j.Priority < b.Priority || (j.Priority == b.Priority && j.seq < b.seq) {
+				best = i
 			}
-			return s.queue[a].seq < s.queue[b].seq
-		})
+		}
 	}
 	j := s.queue[best]
 	s.queue = append(s.queue[:best], s.queue[best+1:]...)
@@ -155,20 +163,25 @@ func (s *Scheduler) dispatch() {
 	s.stats.OverheadTime += overhead
 	s.stats.BusyTime += service
 
-	end := s.kernel.Now() + overhead + service
-	s.kernel.At(end, func() {
-		if j.Hold {
-			s.holding = true
-			if j.Done != nil {
-				j.Done()
-			}
-			return
-		}
+	s.running = j
+	s.kernel.At(s.kernel.Now()+overhead+service, s.serviceEndFn)
+}
+
+// serviceEnd fires when the running job's CPU phase completes.
+func (s *Scheduler) serviceEnd() {
+	j := s.running
+	s.running = nil
+	if j.Hold {
+		s.holding = true
 		if j.Done != nil {
 			j.Done()
 		}
-		s.dispatch()
-	})
+		return
+	}
+	if j.Done != nil {
+		j.Done()
+	}
+	s.dispatch()
 }
 
 // Release ends the held post-CPU phase of the current job and dispatches the

@@ -225,11 +225,11 @@ func (mc *MachineCode) BindReaction(mem *iss.Mem, r *cfsm.Reaction) {
 	}
 }
 
-// ReadOutbox drains the machine's outbox: it returns the emissions flagged
-// by the last generated-code run (one slot per port — POLIS's single-place
-// event buffers) and clears the flags.
-func (mc *MachineCode) ReadOutbox(mem *iss.Mem) []cfsm.Emission {
-	var out []cfsm.Emission
+// ReadOutbox drains the machine's outbox: it appends to dst[:0] the
+// emissions flagged by the last generated-code run (one slot per port —
+// POLIS's single-place event buffers) and clears the flags.
+func (mc *MachineCode) ReadOutbox(mem *iss.Mem, dst []cfsm.Emission) []cfsm.Emission {
+	out := dst[:0]
 	for p := range mc.M.OutputNames {
 		flagAddr := mc.OutBase + uint32(p)*8
 		if mem.Read32(flagAddr) != 0 {

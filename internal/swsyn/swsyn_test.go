@@ -77,7 +77,7 @@ func (h *harness) replay(mi int, post map[int]cfsm.Value) *cfsm.Reaction {
 	for _, e := range r.Emits {
 		want[e.Port] = e.Value
 	}
-	outs := mc.ReadOutbox(h.mem)
+	outs := mc.ReadOutbox(h.mem, nil)
 	if len(outs) != len(want) {
 		h.t.Fatalf("%s: outbox %v, want %v", m.Name, outs, want)
 	}
@@ -97,7 +97,7 @@ func (h *harness) replay(mi int, post map[int]cfsm.Value) *cfsm.Reaction {
 	}
 
 	// The statically reconstructed fetch trace must match the ISS exactly.
-	ranges, err := mc.FetchTrace(r)
+	ranges, err := mc.FetchTrace(r, nil)
 	if err != nil {
 		h.t.Fatalf("FetchTrace: %v", err)
 	}
@@ -408,14 +408,14 @@ func TestFetchTraceErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	mc := c.Machines[0]
-	if _, err := mc.FetchTrace(&cfsm.Reaction{TransIdx: 99}); err == nil {
+	if _, err := mc.FetchTrace(&cfsm.Reaction{TransIdx: 99}, nil); err == nil {
 		t.Error("out-of-range transition must error")
 	}
 	// Stale decisions (too many) must be rejected.
 	m.Post(0, 1)
 	r, _ := m.React(cfsm.NullEnv{})
 	r.Decisions = append(r.Decisions, 1)
-	if _, err := mc.FetchTrace(r); err == nil {
+	if _, err := mc.FetchTrace(r, nil); err == nil {
 		t.Error("unconsumed decisions must error")
 	}
 }

@@ -13,24 +13,27 @@ import (
 // simulation ... is performed by a fast cache simulator attached directly to
 // the PTOLEMY simulator"), which is why skipping ISS calls (caching,
 // macro-modeling) does not perturb the cache reference stream.
-func (mc *MachineCode) FetchTrace(r *cfsm.Reaction) ([]Range, error) {
+//
+// The ranges are appended to dst[:0], so a caller that feeds them to the
+// cache right away can reuse one buffer across reactions.
+func (mc *MachineCode) FetchTrace(r *cfsm.Reaction, dst []Range) ([]Range, error) {
 	if r.TransIdx < 0 || r.TransIdx >= len(mc.layouts) {
-		return nil, fmt.Errorf("swsyn: reaction transition %d out of range", r.TransIdx)
+		return dst[:0], fmt.Errorf("swsyn: reaction transition %d out of range", r.TransIdx)
 	}
 	lay := mc.layouts[r.TransIdx]
-	w := &traceWalker{dec: r.Decisions, emit: *mc.emitRange}
+	w := traceWalker{dec: r.Decisions, emit: *mc.emitRange, out: dst[:0]}
 	w.add(lay.pre)
 	if lay.hasGuard {
 		if _, err := w.next(); err != nil {
-			return nil, err
+			return w.out, err
 		}
 	}
 	if err := w.block(lay.body); err != nil {
-		return nil, err
+		return w.out, err
 	}
 	w.add(lay.post)
 	if w.i != len(w.dec) {
-		return nil, fmt.Errorf("swsyn: %d unconsumed control-flow decisions", len(w.dec)-w.i)
+		return w.out, fmt.Errorf("swsyn: %d unconsumed control-flow decisions", len(w.dec)-w.i)
 	}
 	return w.out, nil
 }
